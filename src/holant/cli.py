@@ -3,6 +3,8 @@
 Every command reads JSON, writes one JSON object to stdout, and exits with
 0 (ok), 1 (validation), 2 (budget), 3 (numeric degeneracy) or 4 (suite
 failure).  Identical inputs, flags and seed produce byte-identical output.
+Output is RFC 8259 JSON: non-finite scalars are refused when parsed, and a
+result that overflows to infinity or NaN exits 3 with an error line.
 
 Output shapes:
 
@@ -59,10 +61,15 @@ EXIT_BUDGET = 2
 EXIT_NUMERIC = 3
 EXIT_SUITE = 4
 
+
+class NonFiniteResult(ArithmeticError):
+    pass
+
+
 _BUDGET_ERRORS = (BudgetExceeded, CapExceeded, DegreeTooLarge)
 _NUMERIC_ERRORS = (SingularMatrix, ZeroVector, ParameterDegenerate,
                    PreconditionViolated, DegenerateInput, ZeroDivisionError,
-                   OverflowError)
+                   OverflowError, NonFiniteResult)
 
 
 @dataclass(frozen=True)
@@ -78,10 +85,12 @@ class CliConfig:
 
 
 def _emit(obj, cfg) -> None:
-    if cfg.pretty:
-        text = json.dumps(obj, sort_keys=True, indent=1)
-    else:
-        text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    layout = {"indent": 1} if cfg.pretty else {"separators": (",", ":")}
+    try:
+        text = json.dumps(obj, sort_keys=True, allow_nan=False, **layout)
+    except ValueError:
+        # an infinite or NaN number has no RFC 8259 JSON form
+        raise NonFiniteResult("result is not finite (overflow or NaN)") from None
     sys.stdout.write(text + "\n")
 
 

@@ -1,11 +1,13 @@
 """Holant computation engines.
 
-holant_brute enumerates edge assignments; holant_contract eliminates edges by
-sequential tensor contraction with a greedy order; holant_T, holant_E and
-holant_KM are the polynomial-time evaluators for the three nontrivial
-tractable families (arity <= 2 atoms; parity-constrained supports; weight <= 1
-supports under a K transform). The family evaluators are validated against
-holant_brute, never trusted on faith.
+realize_gadget enumerates edge assignments; holant_brute is it on a closed
+grid.  holant_contract plans, then executes: plan_greedy orders the pairwise
+merges on wire lists alone, and one kernel runs each merge in a single pass,
+a sparse (free x shared) by (shared x free) product that skips zero entries,
+or a trace for self-loops.  holant_T, holant_E and holant_KM are the
+polynomial-time evaluators for the three nontrivial tractable families (arity
+<= 2 atoms; parity-constrained supports; weight <= 1 supports under a K
+transform), validated against holant_brute, never trusted on faith.
 """
 
 from __future__ import annotations
@@ -71,61 +73,40 @@ def _require_closed(grid: SignatureGrid):
 
 def holant_brute(grid: SignatureGrid, budget: int = 24) -> HolantValue:
     _require_closed(grid)
-    m = len(grid.edges)
-    if m > budget:
-        raise BudgetExceeded(f"{m} edges > brute budget {budget}")
-    edge_of = {}
-    for n, (p, q) in enumerate(grid.edges):
-        edge_of[p] = n
-        edge_of[q] = n
-    slots = [(f, [edge_of[(vid, s)] for s in range(1, f.arity + 1)])
-             for vid, f in sorted(grid.vertices.items())]
-
-    total = None
-    for mask in range(1 << m):
-        term = ONE
-        for f, es in slots:
-            idx = 0
-            for e in es:
-                idx = (idx << 1) | ((mask >> e) & 1)
-            term = term * f.values[idx]
-        total = term if total is None else total + term
-    return HolantValue(ONE if total is None else total, _backend_tag(grid))
+    return HolantValue(realize_gadget(grid, budget).values[0], _backend_tag(grid))
 
 
 def realize_gadget(grid: SignatureGrid, budget: int = 24) -> Signature:
+    """Enumerate every edge assignment under every assignment to the dangling
+    legs: one bit per edge, then one per leg with leg 1 on top."""
     require_valid(grid)
-    m = len(grid.edges)
+    m, k = len(grid.edges), len(grid.dangling)
     if m > budget:
-        raise BudgetExceeded(f"{m} internal edges > brute budget {budget}")
-    k = len(grid.dangling)
-    port_src = {}
+        raise BudgetExceeded(f"{m} edges > brute budget {budget}")
+    wire = {}
     for n, (p, q) in enumerate(grid.edges):
-        port_src[p] = ("e", n)
-        port_src[q] = ("e", n)
+        wire[p] = wire[q] = n
     for n, p in enumerate(grid.dangling):
-        port_src[p] = ("d", n)
-    slots = [(f, [port_src[(vid, s)] for s in range(1, f.arity + 1)])
+        wire[p] = m + k - 1 - n
+    slots = [(f, [wire[(vid, s)] for s in range(1, f.arity + 1)])
              for vid, f in sorted(grid.vertices.items())]
 
     vals = []
-    for fidx in range(1 << k):
-        fbits = [(fidx >> (k - 1 - t)) & 1 for t in range(k)]
+    for legs in range(1 << k):
         total = None
-        for mask in range(1 << m):
+        for mask in range(legs << m, (legs + 1) << m):
             term = ONE
-            for f, srcs in slots:
+            for f, ws in slots:
                 idx = 0
-                for kind, n in srcs:
-                    bit = fbits[n] if kind == "d" else (mask >> n) & 1
-                    idx = (idx << 1) | bit
+                for w in ws:
+                    idx = (idx << 1) | ((mask >> w) & 1)
                 term = term * f.values[idx]
             total = term if total is None else total + term
-        vals.append(ONE if total is None else total)
+        vals.append(total)
     return Signature(vals, k)
 
 
-# -- sequential contraction ----------------------------------------------------
+# -- plan, then execute --------------------------------------------------------
 
 @dataclass(frozen=True)
 class ContractionPlan:
@@ -137,129 +118,159 @@ class ContractionPlan:
 
 
 class _Network:
+    """Wire bookkeeping of a grid under contraction; it holds no tables."""
+
     def __init__(self, grid: SignatureGrid):
-        self.sig = {}
-        self.wires = {}       # node -> list of wire ids, position = argument - 1
-        self.ends = {}        # wire id -> list of node ids (len 2, or 1 if dangling)
-        wid = {}
-        for n, (p, q) in enumerate(grid.edges):
-            wid[p] = n
-            wid[q] = n
+        wid = {p: n for n, e in enumerate(grid.edges) for p in e}
         base = len(grid.edges)
-        for n, p in enumerate(grid.dangling):
-            wid[p] = base + n
-        self.dangling_wires = [base + n for n in range(len(grid.dangling))]
-        for v, f in grid.vertices.items():
-            self.sig[v] = f
-            ws = [wid[(v, s)] for s in range(1, f.arity + 1)]
-            self.wires[v] = ws
+        wid.update((p, base + n) for n, p in enumerate(grid.dangling))
+        self.dangling_wires = [wid[p] for p in grid.dangling]
+        # node -> wire ids, position = argument - 1; wire -> its 1 or 2 ends
+        self.wires = {v: [wid[(v, s)] for s in range(1, f.arity + 1)]
+                      for v, f in grid.vertices.items()}
+        self.ends = {}
+        for v, ws in self.wires.items():
             for w in ws:
                 self.ends.setdefault(w, []).append(v)
-        self.internal = sum(1 for es in self.ends.values() if len(es) == 2)
+        self.internal = len(grid.edges)
 
-    def shared(self, u, v):
-        if u == v:
-            from collections import Counter
-            return sum(1 for c in Counter(self.wires[u]).values() if c == 2)
-        su = set(self.wires[u])
-        return sum(1 for w in self.wires[v] if w in su)
+    def _both(self, u, v):
+        return self.wires[u] if u == v else self.wires[u] + self.wires[v]
 
-    def result_arity(self, u, v):
-        if u == v:
-            return len(self.wires[u]) - 2 * self.shared(u, u)
-        return len(self.wires[u]) + len(self.wires[v]) - 2 * self.shared(u, v)
+    def arity(self, u, v):
+        """Legs left once u and v merge; a wire appears at most twice in _both."""
+        ws = self._both(u, v)
+        return 2 * len(set(ws)) - len(ws)
 
-    def merge(self, u, v):
-        """Contract all wires joining u and v; survivor id is min(u, v)."""
+    def linked(self, u, v):
         if u == v:
-            sig, ws = self.sig[u], list(self.wires[u])
-        else:
-            sig = self.sig[u].tensor(self.sig[v])
-            ws = list(self.wires[u]) + list(self.wires[v])
-        while True:
-            dup = None
-            seen = {}
-            for pos, w in enumerate(ws):
-                if w in seen:
-                    dup = (seen[w], pos, w)
-                    break
-                seen[w] = pos
-            if dup is None:
-                break
-            i, j, w = dup
-            sig = sig.contract(i + 1, j + 1)
-            ws = ws[:i] + ws[i + 1:j] + ws[j + 1:]
+            return len(set(self.wires[u])) < len(self.wires[u])
+        return not set(self.wires[u]).isdisjoint(self.wires[v])
+
+    def join(self, u, v):
+        """Drop every wire joining u and v, self-loops included; the survivor,
+        min(u, v), keeps the other wires, u's first.  Returns the survivor."""
+        both = self._both(u, v)
+        ws = [w for w in both if both.count(w) == 1]
+        for w in set(both).difference(ws):
             del self.ends[w]
             self.internal -= 1
         keep = min(u, v)
-        drop = max(u, v)
-        if drop != keep:
-            del self.sig[drop], self.wires[drop]
-        self.sig[keep] = sig
+        del self.wires[max(u, v)]
         self.wires[keep] = ws
         for w in ws:
             self.ends[w] = [keep if e in (u, v) else e for e in self.ends[w]]
         return keep
 
-    def internal_pairs(self):
-        pairs = set()
-        for w, es in self.ends.items():
-            if len(es) == 2:
-                pairs.add((min(es), max(es)))
-        return pairs
+
+def _greedy(net: _Network, cap: int) -> ContractionPlan:
+    """Merge the linked pair with the smallest (result arity, first id, second
+    id) until no internal wire is left.  Pairs enter the lazy heap as (min id,
+    max id), and a survivor's pairs with the survivor first, so that ties go
+    to the cluster that grew last: this needs arity 12 on the independent-set
+    grid of the 10x10 grid graph, where (min id, max id) alone needs 14."""
+    heap = [(net.arity(*e), *e) for e in
+            {(min(es), max(es)) for es in net.ends.values() if len(es) == 2}]
+    heapq.heapify(heap)
+    steps = []
+    while heap:
+        arity, u, v = heapq.heappop(heap)
+        if u not in net.wires or v not in net.wires or not net.linked(u, v):
+            continue
+        if net.arity(u, v) != arity:  # stale: re-score
+            heapq.heappush(heap, (net.arity(u, v), u, v))
+            continue
+        if arity > cap:
+            raise CapExceeded(
+                f"best available contraction needs arity {arity} > cap {cap}; "
+                "raise the cap or use the brute evaluator")
+        steps.append((u, v, arity))
+        keep = net.join(u, v)
+        for t in {t for w in net.wires[keep] for t in net.ends[w]} - {keep}:
+            heapq.heappush(heap, (net.arity(keep, t), keep, t))
+    return ContractionPlan(tuple(steps))
 
 
-def contract_network(grid: SignatureGrid, plan: ContractionPlan = None,
-                     cap: int = 12) -> Signature:
-    """Reduce the grid to the signature it realizes (arity 0 when closed)."""
+def plan_greedy(grid: SignatureGrid, cap: int = 12) -> ContractionPlan:
+    """The greedy contraction order, planned on wire lists alone."""
     require_valid(grid)
+    return _greedy(_Network(grid), cap)
+
+
+def _sparse(vals, wires, major, minor):
+    """The table as a (major x minor) matrix over those wire lists: one list
+    of (minor index, value) per major index, zero entries left out.  A wire
+    listed twice in `wires` (a self-loop) reads both of its positions."""
+    k = len(wires)
+
+    def offsets(ws):  # every index the wires in ws address, ws[0] on top
+        out = [0]
+        for w in ws:
+            b = sum(1 << (k - 1 - p) for p, x in enumerate(wires) if x == w)
+            out = [x + c for x in out for c in (0, b)]
+        return out
+
+    lo = list(enumerate(offsets(minor)))
+    return [[(x, v) for x, o in lo if (v := vals[s + o])] for s in offsets(major)]
+
+
+def _trace(vals, wires, zero):
+    """Sum out every self-loop of one table in a single pass."""
+    free = [w for w in wires if wires.count(w) == 1]
+    if len(free) == len(wires):
+        return vals, wires
+    loops = list(dict.fromkeys(w for w in wires if w not in free))
+    return [sum((v for _, v in g[1:]), g[0][1]) if g else zero
+            for g in _sparse(vals, wires, free, loops)], free
+
+
+def _pair(a, a_wires, b, b_wires, zero):
+    """out[x, y] = sum_s A[x, s] * B[s, y] over the wires s that A and B share;
+    the result's legs are A's free wires, then B's."""
+    shared = [w for w in a_wires if w in b_wires]
+    a_free = [w for w in a_wires if w not in shared]
+    b_free = [w for w in b_wires if w not in shared]
+    n = 1 << len(b_free)
+    out = [None] * (n << len(a_free))
+    for row, col in zip(_sparse(a, a_wires, shared, a_free),
+                        _sparse(b, b_wires, shared, b_free)):
+        if not col:
+            continue
+        for x, p in row:
+            x *= n
+            for y, q in col:
+                t = out[x + y]
+                out[x + y] = p * q if t is None else t + p * q
+    return [zero if t is None else t for t in out], a_free + b_free
+
+
+def _execute(grid: SignatureGrid, plan, cap: int) -> Signature:
+    """Run the plan (the greedy one if None) on a validated grid.  Exact tables
+    stay exact, rational entries as int/Fraction; any other grid runs on
+    complex floats."""
+    if plan is None:
+        plan = _greedy(_Network(grid), cap)
     net = _Network(grid)
+    exact = grid.is_exact()
+    zero, lift = (ZERO, _lower) if exact else (0j, to_complex)
+    tables = {v: [lift(x) for x in f.values] for v, f in grid.vertices.items()}
+    for u, v, _ in plan.steps:
+        if net.arity(u, v) > cap:
+            raise CapExceeded(f"step ({u},{v}) exceeds arity cap {cap}")
+        a, a_wires = _trace(tables.pop(u), net.wires[u], zero)
+        if u != v:
+            b, b_wires = _trace(tables.pop(v), net.wires[v], zero)
+            a, _ = _pair(a, a_wires, b, b_wires, zero)
+        tables[net.join(u, v)] = a
+    if net.internal:
+        raise ValueError(f"plan leaves {net.internal} internal wires uncontracted")
 
-    if plan is not None:
-        for (u, v, _) in plan.steps:
-            if net.result_arity(u, v) > cap:
-                raise CapExceeded(f"step ({u},{v}) exceeds arity cap {cap}")
-            net.merge(u, v)
-    else:
-        heap = [(net.result_arity(u, v), u, v) for u, v in net.internal_pairs()]
-        heapq.heapify(heap)
-        while net.internal > 0:
-            while True:
-                if not heap:
-                    heap = [(net.result_arity(u, v), u, v)
-                            for u, v in net.internal_pairs()]
-                    heapq.heapify(heap)
-                arity, u, v = heapq.heappop(heap)
-                if u not in net.sig or v not in net.sig:
-                    continue
-                if net.shared(u, v) == 0:
-                    continue
-                cur = net.result_arity(u, v)
-                if cur != arity:
-                    heapq.heappush(heap, (cur, u, v))
-                    continue
-                break
-            if arity > cap:
-                raise CapExceeded(
-                    f"best available contraction needs arity {arity} > cap {cap}; "
-                    "raise the cap or use the brute evaluator")
-            keep = net.merge(u, v)
-            pushed = set()
-            for w in net.wires[keep]:
-                for t in net.ends[w]:
-                    key = (min(keep, t), max(keep, t))
-                    if len(net.ends[w]) == 2 and key not in pushed:
-                        pushed.add(key)
-                        heapq.heappush(heap, (net.result_arity(keep, t), keep, t))
-
-    # assemble the remains: tensor in id order, then put dangling legs in order
-    out = None
-    ws = []
-    for v in sorted(net.sig):
-        out = net.sig[v] if out is None else out.tensor(net.sig[v])
-        ws.extend(net.wires[v])
-    if out is None:
-        out = Signature([ONE], 0)
+    # the remains: outer products in id order, then dangling legs in order
+    parts = [(tables[v], net.wires[v]) for v in sorted(tables)] or [([ONE], [])]
+    vals, ws = parts[0]
+    for b, b_wires in parts[1:]:
+        vals, ws = _pair(vals, ws, b, b_wires, zero)
+    out = Signature(vals, len(ws))
     # slot m of `out` carries wire ws[m-1]; permute() feeds old slot m from
     # new argument pi[m-1], so pi maps tensor slots to dangling positions
     pos_of = {w: n for n, w in enumerate(net.dangling_wires)}
@@ -269,28 +280,17 @@ def contract_network(grid: SignatureGrid, plan: ContractionPlan = None,
     return out
 
 
-def plan_greedy(grid: SignatureGrid, cap: int = 12) -> ContractionPlan:
-    """Dry-run the greedy order, recording steps and predicted arities."""
+def contract_network(grid: SignatureGrid, plan: ContractionPlan = None,
+                     cap: int = 12) -> Signature:
+    """Reduce the grid to the signature it realizes (arity 0 when closed)."""
     require_valid(grid)
-    net = _Network(grid)
-    steps = []
-    while True:
-        pairs = net.internal_pairs()
-        if not pairs:
-            break
-        arity, u, v = min((net.result_arity(u, v), u, v) for u, v in pairs)
-        if arity > cap:
-            raise CapExceeded(f"greedy needs arity {arity} > cap {cap}")
-        steps.append((u, v, arity))
-        net.merge(u, v)
-    return ContractionPlan(tuple(steps))
+    return _execute(grid, plan, cap)
 
 
 def holant_contract(grid: SignatureGrid, plan: ContractionPlan = None,
                     cap: int = 12) -> HolantValue:
     _require_closed(grid)
-    out = contract_network(grid, plan, cap)
-    return HolantValue(out.values[0], _backend_tag(grid))
+    return HolantValue(_execute(grid, plan, cap).values[0], _backend_tag(grid))
 
 
 # -- family evaluators ---------------------------------------------------------

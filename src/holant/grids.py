@@ -135,19 +135,48 @@ def grid_to_json(grid: SignatureGrid) -> dict:
     return out
 
 
+def _vertex_id(vid):
+    if isinstance(vid, bool) or not isinstance(vid, (int, str)):
+        raise ParseError(f"vertex id must be an integer or a string, got {vid!r}")
+    return vid
+
+
+def _port(p):
+    if not (isinstance(p, (list, tuple)) and len(p) == 2 and isinstance(p[1], int)):
+        raise ParseError(f"port must be [vertex id, slot], got {p!r}")
+    return (_vertex_id(p[0]), p[1])
+
+
+def _items(obj, key, kind=list):
+    got = obj.get(key, kind())
+    if not isinstance(got, kind):
+        raise ParseError(f"grid {key!r} must be a JSON {kind.__name__}")
+    return got
+
+
 def grid_from_json(obj) -> SignatureGrid:
+    if not isinstance(obj, dict):
+        raise ParseError(f"grid must be a JSON object, got {type(obj).__name__}")
     vertices = {}
-    for entry in obj.get("vertices", []):
-        vid = entry["id"]
+    for entry in _items(obj, "vertices"):
+        if not isinstance(entry, dict):
+            raise ParseError(f"vertex entry must be an object, got {entry!r}")
+        vid = _vertex_id(entry["id"])
         try:
             vertices[vid] = signature_from_json(entry["fn"])
         except ParseError as e:
             raise ParseError(f"vertex {vid}: {e}") from None
-    edges = [(tuple(p), tuple(q)) for p, q in obj.get("edges", [])]
-    dangling = [tuple(p) for p in obj.get("dangling", [])]
+    if len({type(vid) for vid in vertices}) > 1:  # ids are sorted together
+        raise ParseError("vertex ids must be all integers or all strings")
+    edges = []
+    for e in _items(obj, "edges"):
+        if not (isinstance(e, (list, tuple)) and len(e) == 2):
+            raise ParseError(f"edge must be a pair of ports, got {e!r}")
+        edges.append((_port(e[0]), _port(e[1])))
+    dangling = [_port(p) for p in _items(obj, "dangling")]
     bip = obj.get("bipartition")
     if bip is not None:
-        bip = {int(k): v for k, v in bip.items()}
+        bip = {int(k): v for k, v in _items(obj, "bipartition", dict).items()}
     return SignatureGrid(vertices, edges, dangling, bip)
 
 

@@ -324,16 +324,20 @@ _RAT = r"-?\d+(?:/\d+)?"
 _RAT_RE = _re.compile(rf"^({_RAT})$")
 
 
+def _finite(z: complex) -> complex:
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ParseError(f"scalar is not finite: {z!r}")
+    return z
+
+
 def parse_scalar(obj):
     """Parse a scalar literal: string grammar, bare number, or tagged object."""
     if isinstance(obj, bool):
         raise ParseError(f"not a scalar: {obj!r}")
     if isinstance(obj, int):
         return Cyc(obj)
-    if isinstance(obj, float):
-        return complex(obj)
-    if isinstance(obj, complex):
-        return obj
+    if isinstance(obj, (float, complex)):
+        return _finite(complex(obj))
     if isinstance(obj, Fraction):
         return Cyc(obj)
     if isinstance(obj, Cyc):
@@ -345,7 +349,11 @@ def parse_scalar(obj):
                 raise ParseError("zeta8 literal needs exactly four rational entries")
             return Cyc(*[Fraction(str(c)) for c in cs])
         if "re" in obj or "im" in obj:
-            return complex(float(obj.get("re", 0)), float(obj.get("im", 0)))
+            try:
+                z = complex(float(obj.get("re", 0)), float(obj.get("im", 0)))
+            except (TypeError, ValueError):
+                raise ParseError(f"bad complex literal: {obj!r}") from None
+            return _finite(z)
         raise ParseError(f"unknown scalar object: {obj!r}")
     if not isinstance(obj, str):
         raise ParseError(f"not a scalar: {obj!r}")

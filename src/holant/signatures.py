@@ -504,23 +504,48 @@ def family_test(f: Signature, family: str, pre_transform: Transform2 = None,
     raise ValueError(f"unknown family: {family}")
 
 
+MAX_LITERAL_ARITY = 16  # a function literal may expand to at most 2^16 values
+
+
 def signature_from_json(obj) -> Signature:
     from .scalars import ParseError, parse_scalar
+
+    def scalars(key, n=None):
+        vals = obj[key]
+        if not isinstance(vals, (list, tuple)) or n not in (None, len(vals)):
+            raise ParseError(f"{key!r} must be a list of {f'{n} ' if n else ''}scalars")
+        return [parse_scalar(v) for v in vals]
+
+    def arity(k):
+        if k is not None and (isinstance(k, bool) or not isinstance(k, int)):
+            raise ParseError(f"arity must be an integer, got {k!r}")
+        return k
+
+    def expandable(k):  # checked before a short literal expands to 2^k values
+        if k is not None and k > MAX_LITERAL_ARITY:
+            raise ArityTooLarge(f"arity {k} above the literal limit {MAX_LITERAL_ARITY}")
+
     if not isinstance(obj, dict):
         raise ParseError(f"function literal must be an object, got {type(obj).__name__}")
     if "values" in obj:
-        vals = [parse_scalar(v) for v in obj["values"]]
-        return Signature(vals, obj.get("arity"))
+        return Signature(scalars("values"), arity(obj.get("arity")))
     if "symmetric" in obj:
-        return Signature.symmetric([parse_scalar(v) for v in obj["symmetric"]])
+        entries = scalars("symmetric")
+        expandable(len(entries) - 1)
+        return Signature.symmetric(entries)
     if "named" in obj:
+        name = obj["named"]
+        if not isinstance(name, str):
+            raise ParseError(f"function name must be a string, got {name!r}")
+        tail = name.replace("-", "_").partition("_")[2]
+        k = arity(obj.get("arity"))
+        expandable(int(tail) if tail.isdigit() else k)
         param = obj.get("param")
         if param is not None:
             param = parse_scalar(param)
-        return Signature.named(obj["named"], obj.get("arity"), param)
+        return Signature.named(name, k, param)
     if "unary" in obj:
-        a, b = obj["unary"]
-        return Signature([parse_scalar(a), parse_scalar(b)], 1)
+        return Signature(scalars("unary", 2), 1)
     raise ParseError(f"unrecognized function literal keys: {sorted(obj)}")
 
 

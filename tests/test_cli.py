@@ -230,6 +230,17 @@ class TestReduceIs:
         assert parse_scalar(out["Z"]) == want
         assert out["matches_oracle"] is True
 
+    def test_grid_graph_10x10(self, tmp_path, capsys):
+        # the compiled grid contracts at arity 12, within the default cap
+        n = 10
+        edges = ([[r * n + c, r * n + c + 1] for r in range(n) for c in range(n - 1)]
+                 + [[r * n + c, r * n + c + n] for r in range(n - 1) for c in range(n)])
+        path = write(tmp_path, "g.json", {"n": n * n, "edges": edges})
+        code, out = run(capsys, ["reduce-is", path, "1"])
+        assert code == 0
+        assert out["Z"] == str(_grid_independent_sets(n))
+        assert out["Z"] == "2030049051145980050"  # OEIS A006506(10)
+
     def test_emits_grid(self, tmp_path, capsys):
         graph = {"n": 2, "edges": [[0, 1]]}
         path = write(tmp_path, "g.json", graph)
@@ -237,6 +248,76 @@ class TestReduceIs:
         assert code == 0
         assert "grid" in out
         assert "Z" in out
+
+
+def _grid_independent_sets(n):
+    """Independent sets of the n x n grid graph by a row transfer matrix: a row
+    is a bit mask with no two adjacent bits, and consecutive rows are disjoint."""
+    rows = [r for r in range(1 << n) if not r & (r >> 1)]
+    count = dict.fromkeys(rows, 1)
+    for _ in range(n - 1):
+        count = {r: sum(c for s, c in count.items() if not r & s) for r in rows}
+    return sum(count.values())
+
+
+def run_text(capsys, tmp_path, text, argv):
+    """Run one command on a grid file holding `text`; the output must be one
+    line of strict JSON (no NaN or Infinity)."""
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    code = main(argv + [str(path)])
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+
+    def refuse(name):
+        raise AssertionError(f"non-JSON constant {name} in output")
+    return code, json.loads(out, parse_constant=refuse)
+
+
+def _two_unaries(a, b):
+    """Grid text: two copies of the unary [a, b] joined by one edge."""
+    fn = f'{{"unary": [{a}, {b}]}}'
+    return ('{"vertices": [{"id": 0, "fn": %s}, {"id": 1, "fn": %s}],'
+            ' "edges": [[[0, 1], [1, 1]]]}' % (fn, fn))
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("literal", ['{"re": "nan"}', '{"re": "inf"}',
+                                         '{"im": "-inf"}', "NaN", "Infinity",
+                                         "-Infinity", "1e400"])
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_literal_rejected(self, tmp_path, capsys, literal, backend):
+        code, out = run_text(capsys, tmp_path, _two_unaries(literal, 1),
+                             ["--backend", backend, "eval"])
+        assert code == 1
+        assert out["kind"] == "ParseError"
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_overflowing_result_exits_numeric(self, tmp_path, capsys, backend):
+        big = '{"re": 1e200}'
+        code, out = run_text(capsys, tmp_path, _two_unaries(big, big),
+                             ["--backend", backend, "eval"])
+        assert code == 3
+        assert out["kind"] == "NonFiniteResult"
+        assert set(out) == {"error", "kind"}
+
+
+class TestMalformedGrid:
+    @pytest.mark.parametrize("text", [
+        "[1, 2]",
+        '{"vertices": [{"id": 0, "fn": {"values": 5}}]}',
+        '{"vertices": [{"id": [0], "fn": {"values": [1, 1]}}],'
+        ' "dangling": [[[0], 1]]}',
+        '{"vertices": [{"id": "a", "fn": {"named": "EQ_2"}},'
+        ' {"id": 0, "fn": {"named": "EQ_2"}}],'
+        ' "edges": [[["a", 1], [0, 1]], [["a", 2], [0, 2]]]}',
+    ])
+    @pytest.mark.parametrize("command", ["eval", "realize"])
+    def test_exits_validation(self, tmp_path, capsys, text, command):
+        code, out = run_text(capsys, tmp_path, text, [command])
+        assert code == 1
+        assert out["kind"] == "ParseError"
+        assert set(out) == {"error", "kind"}
 
 
 class TestCsp2Holant:

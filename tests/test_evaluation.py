@@ -144,6 +144,92 @@ class TestContractNetwork:
         assert got == want
 
 
+@st.composite
+def sparse_open_grids(draw, max_vertices=4, max_arity=4):
+    """Open exact grids whose tables are at least half zeros.  Stubs pair up in
+    a drawn order, so self-loops and parallel edges are common, and the order
+    a failure shrinks to (the identity) ties each vertex's first two slots."""
+    sigs, stubs = {}, []
+    for v in range(draw(st.integers(1, max_vertices))):
+        k = draw(st.integers(1, max_arity))
+        n = 1 << k
+        vals = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        for i in draw(st.permutations(range(n)))[:(n + 1) // 2]:
+            vals[i] = 0
+        sigs[v] = Signature(vals, k)
+        stubs += [(v, s) for s in range(1, k + 1)]
+    stubs = draw(st.permutations(stubs))
+    legs = min((len(stubs) % 2 or 2) + 2 * draw(st.integers(0, 1)), len(stubs))
+    rest = stubs[legs:]
+    edges = [(rest[i], rest[i + 1]) for i in range(0, len(rest), 2)]
+    return SignatureGrid(sigs, edges, stubs[:legs])
+
+
+def _raises_cap(fn):
+    try:
+        fn()
+    except CapExceeded:
+        return True
+    return False
+
+
+class TestKernelDifferential:
+    """The fused kernel and the planner against the enumeration oracle."""
+
+    @given(sparse_open_grids())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_realize_gadget_exactly(self, g):
+        assert contract_network(g) == realize_gadget(g)
+
+    @given(sparse_open_grids())
+    @settings(max_examples=80, deadline=None)
+    def test_float_backend_within_1e9(self, g):
+        approx = SignatureGrid({v: f.to_approx() for v, f in g.vertices.items()},
+                               g.edges, g.dangling)
+        got = contract_network(approx)
+        assert all(isinstance(x, complex) for x in got.values)
+        assert sig_max_residual(got, contract_network(g)) <= 1e-9
+
+    @given(sparse_open_grids())
+    @settings(max_examples=80, deadline=None)
+    def test_explicit_greedy_plan_is_the_default(self, g):
+        assert contract_network(g, plan=plan_greedy(g)) == contract_network(g)
+
+    @given(sparse_open_grids(), st.integers(0, 5))
+    @settings(max_examples=80, deadline=None)
+    def test_planner_and_driver_refuse_together(self, g, cap):
+        assert _raises_cap(lambda: plan_greedy(g, cap=cap)) == \
+            _raises_cap(lambda: contract_network(g, cap=cap))
+
+    @given(sparse_open_grids())
+    @settings(max_examples=40, deadline=None)
+    def test_planner_builds_no_table(self, g):
+        built = []
+        original = Signature.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Signature, "__init__", counting)
+            plan_greedy(g)
+        assert built == []
+
+    def test_loop_on_a_node_merged_with_a_neighbour(self):
+        # vertex 0 carries a self-loop and two parallel edges to vertex 1;
+        # every table is half zeros
+        f = Signature([0, 1, 0, 2, 3, 0, 0, 0, 0, 0, 1, 0, 0, 2, 0, 1], 4)
+        h = Signature([0, 3, 0, 0, 0, 0, 2, 5], 3)
+        g = SignatureGrid({0: f, 1: h},
+                          edges=[((0, 1), (0, 3)), ((0, 2), (1, 3)),
+                                 ((0, 4), (1, 1))],
+                          dangling=[(1, 2)])
+        plan = ContractionPlan(steps=((0, 1, 1),))
+        assert contract_network(g, plan=plan) == realize_gadget(g)
+        assert contract_network(g) == realize_gadget(g)
+
+
 class TestHolantT:
     def test_chain_of_binaries(self, rng):
         for _ in range(20):
